@@ -19,7 +19,7 @@
 //! while the blanket impl over `TransferModel` samples the measured
 //! confusion matrix.
 
-use crate::layers::{Layer, MaxPool2d};
+use crate::layers::Layer;
 use crate::network::Network;
 use crate::quant::{quantize_activations, quantize_weights, QuantizedWeights};
 use crate::tensor::Tensor;
@@ -619,11 +619,6 @@ impl CimNetwork {
         out
     }
 }
-
-/// Keeps pools usable in [`MappedLayer::Passthrough`] without exposing
-/// layer internals.
-#[allow(dead_code)]
-fn _pool_type_check(_: MaxPool2d) {}
 
 #[cfg(test)]
 mod tests {

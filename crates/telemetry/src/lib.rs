@@ -60,14 +60,14 @@
 #![forbid(unsafe_code)]
 
 mod aggregate;
+mod counter;
 mod event;
 mod flight;
 mod recorder;
 mod sink;
 
-pub use aggregate::{
-    Aggregator, Counts, Histogram, LabeledCount, LabeledCounts, SloBreachInfo, SloPolicy,
-};
+pub use aggregate::{Aggregator, Histogram, LabeledCount, LabeledCounts, SloBreachInfo, SloPolicy};
+pub use counter::{CounterSpec, Counts};
 pub use event::{
     DegradeStageKind, Event, ResourceKind, RungKind, ServeBackendKind, ServeOutcome, SolverBackend,
     TRACE_FORMAT,

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `trace` binary: summary, diff exit codes,
 //! and Chrome export on real JSONL traces written by `JsonlSink`.
 
-use ferrocim_telemetry::{Event, JsonlSink, Recorder as _};
+use ferrocim_telemetry::{DegradeStageKind, Event, JsonlSink, Recorder as _, SolverBackend};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -58,6 +58,38 @@ fn summary_reports_counts_and_tree() {
     assert!(stdout.contains("newton_iters          4"));
     assert!(stdout.contains("nn.forward"));
     assert!(stdout.contains("  cim.mac_batch"), "tree is indented");
+}
+
+#[test]
+fn summary_reports_solver_counters() {
+    let path = temp_path("summary-solver");
+    let sink = JsonlSink::create(&path).expect("create");
+    for symbolic in [true, false, false] {
+        sink.record(&Event::SolverSolved {
+            backend: SolverBackend::Sparse,
+            symbolic,
+        });
+    }
+    sink.record(&Event::SolveRefined {
+        passes: 1,
+        residual: 1e-12,
+    });
+    sink.record(&Event::SolveDegraded {
+        stage: DegradeStageKind::FreshSymbolic,
+        residual: 1e-3,
+    });
+    sink.finish().expect("finish");
+    let out = trace_bin()
+        .args(["summary", path.to_str().expect("utf8")])
+        .output()
+        .expect("run trace");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "stderr: {:?}", out.stderr);
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("solver_solves         3"), "got: {stdout}");
+    assert!(stdout.contains("solver_symbolic       1"), "got: {stdout}");
+    assert!(stdout.contains("solves_refined        1"), "got: {stdout}");
+    assert!(stdout.contains("solves_degraded       1"), "got: {stdout}");
 }
 
 #[test]
