@@ -4,7 +4,6 @@
 //! VGG-nano on the synthetic dataset and evaluates it through the CIM
 //! transfer model at 27 °C (the Sec. IV-B experiment; several minutes).
 
-use ferrocim_bench::schema::ComparisonRow;
 use ferrocim_bench::{dump_json, print_table};
 use ferrocim_cim::cells::TwoTransistorOneFefet;
 use ferrocim_cim::compare::{comparison_table, energy_ratios, ComparisonEntry, EnergyFigure};
@@ -123,8 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  ReRAM [14]: {reram:.1}x more energy per op");
         println!("  MTJ   [36]: {mtj:.1}x more energy per op");
     }
-    let json: Vec<ComparisonRow> = rows.iter().map(ComparisonRow::from).collect();
-    let path = dump_json("table2_summary", &json)?;
+    let path = dump_json("table2_summary", &rows)?;
     println!("\nwrote {}", path.display());
     trace.finish()?;
     Ok(())

@@ -10,7 +10,9 @@
 //!
 //! Naming convention: the type for `results/<name>.json` is listed next
 //! to each definition. Roots that are JSON arrays are validated as
-//! `Vec<Row>` of the row type given here.
+//! `Vec<Row>` of the row type given here. `results/table2_summary.json`
+//! has no type here: it is `Vec<ferrocim_cim::compare::ComparisonEntry>`
+//! as the library defines it.
 
 use serde::{Deserialize, Serialize};
 
@@ -151,65 +153,6 @@ pub struct VggLayerRow {
     pub output_map: String,
     /// Non-linearity applied after the layer.
     pub non_linearity: String,
-}
-
-/// Energy figure of a comparison row — mirrors
-/// `ferrocim_cim::compare::EnergyFigure`, with the `Joule` newtype
-/// widened to `f64` so the schema side derives `Deserialize`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum EnergyFigure {
-    /// Joules per elementary MAC operation.
-    PerOperation(f64),
-    /// Joules per full network inference.
-    PerInference(f64),
-    /// Not reported.
-    Unreported,
-}
-
-/// One row of `results/table2_summary.json` (root: array) — the owned
-/// mirror of `ferrocim_cim::compare::ComparisonEntry`, whose
-/// `&'static str` fields cannot implement `Deserialize`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ComparisonRow {
-    /// Work label (citation key or "This work").
-    pub work: String,
-    /// Device technology (CMOS, FeFET, ReRAM, MTJ…).
-    pub device: String,
-    /// Process node label.
-    pub process: String,
-    /// Cell structure name.
-    pub cell: String,
-    /// Dataset evaluated, if any.
-    pub dataset: Option<String>,
-    /// Network architecture evaluated, if any.
-    pub network: Option<String>,
-    /// Reported classification accuracy, if any (fraction, 0–1).
-    pub accuracy: Option<f64>,
-    /// Reported energy figure.
-    pub energy: EnergyFigure,
-    /// Reported energy efficiency in TOPS/W, if any.
-    pub tops_per_watt: Option<f64>,
-}
-
-impl From<&ferrocim_cim::compare::ComparisonEntry> for ComparisonRow {
-    fn from(entry: &ferrocim_cim::compare::ComparisonEntry) -> ComparisonRow {
-        use ferrocim_cim::compare::EnergyFigure as CimEnergy;
-        ComparisonRow {
-            work: entry.work.clone(),
-            device: entry.device.to_string(),
-            process: entry.process.to_string(),
-            cell: entry.cell.to_string(),
-            dataset: entry.dataset.map(str::to_string),
-            network: entry.network.map(str::to_string),
-            accuracy: entry.accuracy,
-            energy: match entry.energy {
-                CimEnergy::PerOperation(j) => EnergyFigure::PerOperation(j.0),
-                CimEnergy::PerInference(j) => EnergyFigure::PerInference(j.0),
-                CimEnergy::Unreported => EnergyFigure::Unreported,
-            },
-            tops_per_watt: entry.tops_per_watt,
-        }
-    }
 }
 
 /// Per-stepping-path statistics of `results/probe_adaptive.json`.
@@ -704,8 +647,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn comparison_row_mirrors_the_cim_entry_serialization() {
-        use ferrocim_cim::compare::{ComparisonEntry, EnergyFigure as CimEnergy};
+    fn comparison_entry_round_trips_through_json() {
+        use ferrocim_cim::compare::{ComparisonEntry, EnergyFigure};
         use ferrocim_units::Joule;
         let entry = ComparisonEntry {
             work: "This work".to_string(),
@@ -715,18 +658,12 @@ mod tests {
             dataset: Some("CIFAR-10"),
             network: None,
             accuracy: Some(0.9),
-            energy: CimEnergy::PerOperation(Joule(3.14e-15)),
+            energy: EnergyFigure::PerOperation(Joule(3.14e-15)),
             tops_per_watt: Some(5100.0),
         };
-        let mirrored = ComparisonRow::from(&entry);
-        assert_eq!(
-            serde_json::to_string(&entry).expect("entry"),
-            serde_json::to_string(&mirrored).expect("mirror"),
-            "the schema mirror must serialize byte-identically"
-        );
-        let text = serde_json::to_string(&mirrored).expect("serialize");
-        let back: ComparisonRow = serde_json::from_str(&text).expect("deserialize");
-        assert_eq!(back, mirrored);
+        let text = serde_json::to_string(&entry).expect("serialize");
+        let back: ComparisonEntry = serde_json::from_str(&text).expect("deserialize");
+        assert_eq!(back, entry);
     }
 
     #[test]

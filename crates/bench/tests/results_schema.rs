@@ -4,11 +4,11 @@
 //! hand-edited artifact) fails here until the two agree again.
 
 use ferrocim_bench::schema::{
-    AblationFeedbackRow, AdaptiveProbe, BaselineOverlap, ComparisonRow, HealthProbe, IvCurve,
-    LevelRange, ObserveProbe, ProcessVariationPoint, ProposedArraySummary, ProposedCellRow,
-    RegionResult, ServeProbe, SparseProbe, SurrogateProbe, TelemetryProbe, VggLayerRow,
-    WriteVerifyRow,
+    AblationFeedbackRow, AdaptiveProbe, BaselineOverlap, HealthProbe, IvCurve, LevelRange,
+    ObserveProbe, ProcessVariationPoint, ProposedArraySummary, ProposedCellRow, RegionResult,
+    ServeProbe, SparseProbe, SurrogateProbe, TelemetryProbe, VggLayerRow, WriteVerifyRow,
 };
+use ferrocim_cim::compare::ComparisonEntry;
 use std::path::{Path, PathBuf};
 
 fn results_dir() -> PathBuf {
@@ -40,7 +40,7 @@ fn validate(name: &str, text: &str) -> Option<Result<(), serde_json::Error>> {
         "probe_surrogate" => check::<SurrogateProbe>(text),
         "probe_telemetry" => check::<TelemetryProbe>(text),
         "table1_vgg_structure" => check::<Vec<VggLayerRow>>(text),
-        "table2_summary" => check::<Vec<ComparisonRow>>(text),
+        "table2_summary" => check::<Vec<ComparisonEntry>>(text),
         _ => return None,
     })
 }

@@ -24,7 +24,7 @@ use crate::cells::{CellContext, CellDesign, CellOffsets, CellWeight};
 use crate::fault::CellFault;
 use crate::CimError;
 use ferrocim_spice::{
-    Budget, Circuit, Element, HealthPolicy, NodeId, SolverConfig, SwitchSchedule,
+    Budget, Circuit, Element, HealthPolicy, NodeId, SolveEnv, SolverConfig, SwitchSchedule,
     TransientAnalysis, Waveform, Workspace,
 };
 use ferrocim_telemetry::Telemetry;
@@ -276,14 +276,11 @@ pub struct CimArray<C> {
     config: ArrayConfig,
     /// Per-column injected hardware faults (all `None` by default).
     faults: Vec<Option<CellFault>>,
-    /// Resource budget threaded into every underlying transient solve.
-    budget: Budget,
-    /// Telemetry handle threaded into every underlying solve.
-    telemetry: Telemetry,
-    /// Linear-solver selection for every workspace this array creates.
-    solver: SolverConfig,
-    /// Numerical-health policy threaded into every underlying solve.
-    health: HealthPolicy,
+    /// Solve environment handed to every underlying transient. Its
+    /// solver selection shapes the workspaces this array allocates;
+    /// the array has no Newton or rescue setter, so those stay at
+    /// their defaults.
+    env: SolveEnv,
 }
 
 impl<C: CellDesign> CimArray<C> {
@@ -300,10 +297,7 @@ impl<C: CellDesign> CimArray<C> {
             cell,
             config,
             faults,
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: SolverConfig::auto(),
-            health: HealthPolicy::default(),
+            env: SolveEnv::default(),
         })
     }
 
@@ -314,13 +308,13 @@ impl<C: CellDesign> CimArray<C> {
     /// Clones of the budget share one spend pool, so the same budget
     /// can govern a whole fleet of arrays and engines.
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.env.budget = budget;
         self
     }
 
     /// The attached resource budget (unlimited by default).
     pub fn budget(&self) -> &Budget {
-        &self.budget
+        &self.env.budget
     }
 
     /// Attaches a telemetry handle: every underlying transient solve
@@ -329,13 +323,13 @@ impl<C: CellDesign> CimArray<C> {
     /// [`ferrocim_telemetry::Event::MacIssued`] per batch. The default handle is off and
     /// adds no measurable cost.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.env.telemetry = telemetry;
         self
     }
 
     /// The attached telemetry handle (off by default).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.env.telemetry
     }
 
     /// Selects the linear-solver backend (see
@@ -345,13 +339,13 @@ impl<C: CellDesign> CimArray<C> {
     /// (hundreds of cells, VGG-scale layers) to the sparse KLU-style
     /// backend. Batch layers built on this array inherit the choice.
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
+        self.env.solver = Some(solver);
         self
     }
 
     /// The configured linear-solver selection.
     pub fn solver_config(&self) -> SolverConfig {
-        self.solver
+        self.env.solver.unwrap_or_default()
     }
 
     /// Overrides the numerical-health policy (see
@@ -360,13 +354,18 @@ impl<C: CellDesign> CimArray<C> {
     /// degradation ladder. The default policy is on; batch layers
     /// built on this array inherit the choice.
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+        self.env.health = health;
         self
     }
 
     /// The configured numerical-health policy.
     pub fn health_policy(&self) -> HealthPolicy {
-        self.health
+        self.env.health
+    }
+
+    /// The solve environment every underlying transient runs under.
+    pub fn env(&self) -> &SolveEnv {
+        &self.env
     }
 
     /// Installs per-column hardware faults (one entry per cell; `None`
@@ -453,7 +452,7 @@ impl<C: CellDesign> CimArray<C> {
     /// weights, inputs, or offsets do not match the row width, or
     /// propagates simulation failures.
     pub fn run(&self, request: &MacRequest) -> Result<MacOutput, CimError> {
-        self.run_in(request, &mut Workspace::with_solver(self.solver))
+        self.run_in(request, &mut Workspace::with_solver(self.solver_config()))
     }
 
     /// [`CimArray::run`] with a caller-owned solver [`Workspace`], so
@@ -648,17 +647,14 @@ impl<C: CellDesign> CimArray<C> {
         weights: &[CellWeight],
         inputs: &[bool],
         temp: Celsius,
-        budget: &Budget,
-        tele: &Telemetry,
+        env: &SolveEnv,
         ws: &mut Workspace,
     ) -> Result<MacOutput, CimError> {
         let t_stop = self.config.latency();
         let result = TransientAnalysis::over(ckt, t_stop)
             .with_fixed_step(self.config.dt)
             .at(temp)
-            .with_budget(budget.clone())
-            .with_recorder(tele.clone())
-            .with_health(self.health)
+            .with_env(transient_env(env))
             .run_in(ws)?;
         // Cell voltages at the end of the charge phase (the sample
         // closest to t_charge from below).
@@ -693,17 +689,7 @@ impl<C: CellDesign> CimArray<C> {
         ws: &mut Workspace,
     ) -> Result<MacOutput, CimError> {
         let (ckt, outs, acc) = self.build_row_circuit(weights, inputs, offsets)?;
-        self.eval_row_transient(
-            &ckt,
-            &outs,
-            acc,
-            weights,
-            inputs,
-            temp,
-            &self.budget,
-            &self.telemetry,
-            ws,
-        )
+        self.eval_row_transient(&ckt, &outs, acc, weights, inputs, temp, &self.env, ws)
     }
 
     /// The fast path behind [`MacPath::Analytic`]: each cell is
@@ -791,7 +777,7 @@ impl<C: CellDesign> CimArray<C> {
     /// Propagates simulation failures.
     pub fn level_voltages(&self, temp: Celsius) -> Result<Vec<Volt>, CimError> {
         let n = self.config.cells_per_row;
-        let mut ws = Workspace::with_solver(self.solver);
+        let mut ws = Workspace::with_solver(self.solver_config());
         let (v_on, _) =
             self.single_cell_charge(true, true, temp, &CellOffsets::NOMINAL, &mut ws)?;
         let (v_off, _) =
@@ -830,7 +816,7 @@ impl<C: CellDesign> CimArray<C> {
             },
         ];
         let mut var = [0.0f64; 2];
-        let mut ws = Workspace::with_solver(self.solver);
+        let mut ws = Workspace::with_solver(self.solver_config());
         for (slot, &on) in [true, false].iter().enumerate() {
             for plus in &axes {
                 let minus = CellOffsets {
@@ -898,14 +884,22 @@ impl<C: CellDesign> CimArray<C> {
         let result = TransientAnalysis::over(&ckt, self.config.t_charge)
             .with_fixed_step(self.config.dt)
             .at(temp)
-            .with_budget(self.budget.clone())
-            .with_recorder(self.telemetry.clone())
-            .with_health(self.health)
+            .with_env(transient_env(&self.env))
             .run_in(ws)?;
         Ok((
             result.final_voltage(out).value() - bias.v_sl.value(),
             result.total_energy_delivered().value(),
         ))
+    }
+}
+
+/// `env` as handed to a transient: the solver selection already shaped
+/// the workspaces the array allocates, and a caller's workspace passed
+/// to [`CimArray::run_in`] keeps its own.
+fn transient_env(env: &SolveEnv) -> SolveEnv {
+    SolveEnv {
+        solver: None,
+        ..env.clone()
     }
 }
 

@@ -14,7 +14,8 @@ use crate::fault::{CellFault, FaultPlan};
 use crate::transfer::Adc;
 use crate::CimError;
 use ferrocim_spice::{
-    apply_policy, try_fan_out, Budget, FailurePolicy, FanOutError, FanOutReport, JobError,
+    apply_policy, try_fan_out, Budget, FailurePolicy, FanOutError, FanOutReport, HealthPolicy,
+    JobError, SolverConfig,
 };
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Celsius, Joule, Volt};
@@ -41,10 +42,6 @@ pub struct Crossbar<C> {
     /// Faulted hardware clones for rows the plan touches; fault-free
     /// rows stay `None` and share `array`.
     row_arrays: Vec<Option<CimArray<C>>>,
-    /// Resource budget governing every matrix–vector product.
-    budget: Budget,
-    /// Telemetry handle shared with the row hardware.
-    telemetry: Telemetry,
 }
 
 impl<C: CellDesign> Crossbar<C> {
@@ -69,8 +66,6 @@ impl<C: CellDesign> Crossbar<C> {
         Ok(Crossbar {
             faults: FaultPlan::none(rows, n),
             row_arrays: (0..rows).map(|_| None).collect(),
-            budget: array.budget().clone(),
-            telemetry: array.telemetry().clone(),
             array,
             rows: vec![vec![CellWeight::Bit(false); n]; rows],
             adc,
@@ -83,15 +78,8 @@ impl<C: CellDesign> Crossbar<C> {
     /// product with a typed error. The budget is propagated to the row
     /// hardware (including faulted row clones), so solver-level charges
     /// land in the same pool as the per-job charges.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.array = self.array.with_budget(budget.clone());
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_budget(budget.clone())))
-            .collect();
-        self.budget = budget;
-        self
+    pub fn with_budget(self, budget: Budget) -> Self {
+        self.map_arrays(|a| a.with_budget(budget.clone()))
     }
 
     /// Attaches a telemetry handle: each matrix–vector product emits one
@@ -99,15 +87,8 @@ impl<C: CellDesign> Crossbar<C> {
     /// report how many unique simulations were actually solved), and
     /// the handle is propagated to the row hardware — including faulted
     /// row clones — so solver-level events land on the same recorder.
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.array = self.array.with_recorder(telemetry.clone());
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_recorder(telemetry.clone())))
-            .collect();
-        self.telemetry = telemetry;
-        self
+    pub fn with_recorder(self, telemetry: Telemetry) -> Self {
+        self.map_arrays(|a| a.with_recorder(telemetry.clone()))
     }
 
     /// Selects the linear-solver backend (see
@@ -115,27 +96,23 @@ impl<C: CellDesign> Crossbar<C> {
     /// propagated to the row hardware — including faulted row clones —
     /// so each worker's workspace picks the same backend. The default
     /// is the row array's own selection (auto by size).
-    pub fn with_solver(mut self, solver: ferrocim_spice::SolverConfig) -> Self {
-        self.array = self.array.with_solver(solver);
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_solver(solver)))
-            .collect();
-        self
+    pub fn with_solver(self, solver: SolverConfig) -> Self {
+        self.map_arrays(|a| a.with_solver(solver))
     }
 
     /// Overrides the numerical-health policy (see
     /// [`ferrocim_spice::HealthPolicy`]) for every row-MAC solve,
     /// propagated to the row hardware — including faulted row clones.
     /// The default policy is on.
-    pub fn with_health(mut self, health: ferrocim_spice::HealthPolicy) -> Self {
-        self.array = self.array.with_health(health);
-        self.row_arrays = self
-            .row_arrays
-            .into_iter()
-            .map(|ra| ra.map(|a| a.with_health(health)))
-            .collect();
+    pub fn with_health(self, health: HealthPolicy) -> Self {
+        self.map_arrays(|a| a.with_health(health))
+    }
+
+    /// Applies one setter to the row hardware and every faulted row
+    /// clone, so the whole tile keeps one solve environment.
+    fn map_arrays(mut self, f: impl Fn(CimArray<C>) -> CimArray<C>) -> Self {
+        self.array = f(self.array);
+        self.row_arrays = self.row_arrays.into_iter().map(|ra| ra.map(&f)).collect();
         self
     }
 
@@ -280,8 +257,8 @@ impl<C: CellDesign> Crossbar<C> {
             });
         }
         let row_jobs = self.rows.len() as u64;
-        let _span = self.telemetry.span("cim.matvec");
-        self.telemetry.emit(|| Event::MacIssued {
+        let _span = self.array.telemetry().span("cim.matvec");
+        self.array.telemetry().emit(|| Event::MacIssued {
             jobs: row_jobs,
             solves: row_jobs,
         });
@@ -290,8 +267,8 @@ impl<C: CellDesign> Crossbar<C> {
         let mut energy = 0.0;
         let mut ws = ferrocim_spice::Workspace::with_solver(self.array.solver_config());
         for (r, weights) in self.rows.iter().enumerate() {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.array.budget().check()?;
+            self.array.budget().charge_steps(1)?;
             let request = MacRequest::new(inputs)
                 .weighted(weights)
                 .at(temp)
@@ -337,9 +314,9 @@ impl<C: CellDesign> Crossbar<C> {
         let (unique, slot_of) = self.dedupe_row_jobs(inputs);
         let job_count = (inputs.len() * self.rows.len()) as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let batch_span = self.array.telemetry().span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        self.array.telemetry().emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
@@ -348,9 +325,9 @@ impl<C: CellDesign> Crossbar<C> {
             true,
             || ferrocim_spice::Workspace::with_solver(self.array.solver_config()),
             |ws, u| {
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = self.array.telemetry().span_under("cim.row_solve", batch_id);
+                self.array.budget().check()?;
+                self.array.budget().charge_steps(1)?;
                 let (i, r) = unique[u];
                 let request = MacRequest::new(&inputs[i])
                     .weighted(&self.rows[r])
@@ -437,9 +414,9 @@ impl<C: CellDesign> Crossbar<C> {
         let (unique, slot_of) = self.dedupe_row_jobs(inputs);
         let job_count = (inputs.len() * self.rows.len()) as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let batch_span = self.array.telemetry().span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        self.array.telemetry().emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
@@ -451,9 +428,9 @@ impl<C: CellDesign> Crossbar<C> {
             },
             || ferrocim_spice::Workspace::with_solver(self.array.solver_config()),
             |ws, u| {
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = self.array.telemetry().span_under("cim.row_solve", batch_id);
+                self.array.budget().check()?;
+                self.array.budget().charge_steps(1)?;
                 let (i, r) = unique[u];
                 if inputs[i].len() != self.columns() {
                     return Err(CimError::MismatchedOperands {
@@ -505,7 +482,7 @@ impl<C: CellDesign> Crossbar<C> {
         let report = apply_policy(results, failures, policy)?;
         if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
             let substituted = report.failures as u64;
-            self.telemetry.emit(|| Event::FaultSubstituted {
+            self.array.telemetry().emit(|| Event::FaultSubstituted {
                 substitute: substituted,
             });
         }

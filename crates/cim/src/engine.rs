@@ -23,7 +23,7 @@ use crate::cells::{CellDesign, CellOffsets, CellWeight};
 use crate::CimError;
 use ferrocim_spice::{
     apply_policy, fan_out, try_fan_out, Budget, Circuit, FailurePolicy, FanOutError, FanOutReport,
-    JobError, NodeId, SolverConfig, Workspace,
+    JobError, NodeId, SolveEnv, SolverConfig, Workspace,
 };
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::Celsius;
@@ -65,9 +65,9 @@ pub struct ArrayEngine<'a, C> {
     outs: Vec<NodeId>,
     acc: NodeId,
     parallel: bool,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: SolverConfig,
+    /// The array's solve environment, cloned at construction; the
+    /// engine's own setters override its budget, telemetry and solver.
+    env: SolveEnv,
 }
 
 impl<'a, C: CellDesign> ArrayEngine<'a, C> {
@@ -117,9 +117,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             outs,
             acc,
             parallel: true,
-            budget: array.budget().clone(),
-            telemetry: array.telemetry().clone(),
-            solver: array.solver_config(),
+            env: array.env().clone(),
         })
     }
 
@@ -135,7 +133,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     /// the fan-out with a typed error. By default the engine inherits
     /// the array's budget (the two then share one spend pool).
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.env.budget = budget;
         self
     }
 
@@ -145,7 +143,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     /// underlying transient solve reports through the same handle. By
     /// default the engine inherits the array's handle.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.env.telemetry = telemetry;
         self
     }
 
@@ -155,8 +153,13 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
     /// symbolic analysis per worker and reuses it across the worker's
     /// whole chunk of jobs — the row topology never changes in a batch.
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
+        self.env.solver = Some(solver);
         self
+    }
+
+    /// A fresh worker workspace on the engine's solver selection.
+    fn workspace(&self) -> Workspace {
+        Workspace::with_solver(self.env.solver.unwrap_or_default())
     }
 
     /// The stored weights this engine was built for.
@@ -248,23 +251,23 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         }
         let job_count = jobs.len() as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let batch_span = self.env.telemetry.span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        self.env.telemetry.emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
         let results = fan_out(
             unique.len(),
             self.parallel,
-            || (Workspace::with_solver(self.solver), self.base.clone()),
+            || (self.workspace(), self.base.clone()),
             |(ws, ckt), u| {
                 // Parent this worker-side solve under the issuing batch
                 // span: fan_out workers run on their own threads, so
                 // the thread-local parent chain must be bridged by id.
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = self.env.telemetry.span_under("cim.row_solve", batch_id);
+                self.env.budget.check()?;
+                self.env.budget.charge_steps(1)?;
                 let (i, t) = unique[u];
                 self.array.retarget_inputs(ckt, &inputs[i])?;
                 self.array.eval_row_transient(
@@ -274,8 +277,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
                     &self.weights,
                     &inputs[i],
                     t,
-                    &self.budget,
-                    &self.telemetry,
+                    &self.env,
                     ws,
                 )
             },
@@ -326,9 +328,9 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         // deduplicated simulations.
         let job_count = inputs.len() as u64;
         let solve_count = unique.len() as u64;
-        let batch_span = self.telemetry.span("cim.mac_batch");
+        let batch_span = self.env.telemetry.span("cim.mac_batch");
         let batch_id = batch_span.id();
-        self.telemetry.emit(|| Event::MacIssued {
+        self.env.telemetry.emit(|| Event::MacIssued {
             jobs: job_count,
             solves: solve_count,
         });
@@ -338,11 +340,11 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
             &FailurePolicy::SkipAndReport {
                 max_failures: usize::MAX,
             },
-            || (Workspace::with_solver(self.solver), self.base.clone()),
+            || (self.workspace(), self.base.clone()),
             |(ws, ckt), u| {
-                let _solve_span = self.telemetry.span_under("cim.row_solve", batch_id);
-                self.budget.check()?;
-                self.budget.charge_steps(1)?;
+                let _solve_span = self.env.telemetry.span_under("cim.row_solve", batch_id);
+                self.env.budget.check()?;
+                self.env.budget.charge_steps(1)?;
                 let i = unique[u];
                 if inputs[i].len() != n {
                     return Err(CimError::MismatchedOperands {
@@ -359,8 +361,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
                     &self.weights,
                     &inputs[i],
                     temp,
-                    &self.budget,
-                    &self.telemetry,
+                    &self.env,
                     ws,
                 )
             },
@@ -373,7 +374,7 @@ impl<'a, C: CellDesign> ArrayEngine<'a, C> {
         let report = apply_policy(results, failures, policy)?;
         if matches!(policy, FailurePolicy::Substitute(_)) && report.failures > 0 {
             let substituted = report.failures as u64;
-            self.telemetry.emit(|| Event::FaultSubstituted {
+            self.env.telemetry.emit(|| Event::FaultSubstituted {
                 substitute: substituted,
             });
         }

@@ -1,8 +1,11 @@
-//! Budget and cancellation behaviour of the batched CIM executors.
+//! Budget and cancellation behaviour of the batched CIM executors, and
+//! the array's solve environment reaching its row transients.
 
 use ferrocim_cim::cells::TwoTransistorOneFefet;
-use ferrocim_cim::{ArrayConfig, ArrayEngine, CimArray, CimError, Crossbar};
-use ferrocim_spice::{Budget, CancelToken, FailurePolicy, FanOutError, JobError, SpiceError};
+use ferrocim_cim::{ArrayConfig, ArrayEngine, CimArray, CimError, Crossbar, MacRequest};
+use ferrocim_spice::{
+    Budget, CancelToken, FailurePolicy, FanOutError, HealthPolicy, JobError, SpiceError, Workspace,
+};
 use ferrocim_units::{Celsius, Second};
 
 const ROOM: Celsius = Celsius(27.0);
@@ -114,4 +117,21 @@ fn unlimited_budget_leaves_batch_results_unchanged() {
         .mac_batch(&inputs, ROOM)
         .unwrap();
     assert_eq!(plain, governed);
+}
+
+#[test]
+fn health_policy_reaches_the_row_transient() {
+    let req = MacRequest::new(&[true; 4]).weights(&[true, false, true, false]);
+    let mut ws = Workspace::new();
+    small_array().run_in(&req, &mut ws).unwrap();
+    assert!(
+        ws.last_solve_quality().is_some(),
+        "default policy certifies"
+    );
+    let mut ws = Workspace::new();
+    small_array()
+        .with_health(HealthPolicy::off())
+        .run_in(&req, &mut ws)
+        .unwrap();
+    assert_eq!(ws.last_solve_quality(), None, "certification off");
 }

@@ -5,7 +5,7 @@ use crate::mna::{newton_solve_in, CapMode, Layout, NewtonOptions, SolveSettings}
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::rescue::{is_rescuable, rescue_solve, RescuePolicy, RescueReport};
 use crate::solver::SolverConfig;
-use crate::{Budget, SpiceError, Workspace};
+use crate::{Budget, SolveEnv, SpiceError, Workspace};
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Ampere, Celsius, Second, Volt};
 use std::collections::HashMap;
@@ -106,13 +106,8 @@ impl OperatingPoint {
 pub struct DcAnalysis<'a> {
     circuit: &'a Circuit,
     temp: Celsius,
-    options: NewtonOptions,
     initial_guess: Option<Vec<f64>>,
-    rescue: RescuePolicy,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: Option<SolverConfig>,
-    health: HealthPolicy,
+    env: SolveEnv,
 }
 
 impl<'a> DcAnalysis<'a> {
@@ -122,13 +117,8 @@ impl<'a> DcAnalysis<'a> {
         DcAnalysis {
             circuit,
             temp: Celsius::ROOM,
-            options: NewtonOptions::default(),
             initial_guess: None,
-            rescue: RescuePolicy::default(),
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: None,
-            health: HealthPolicy::default(),
+            env: SolveEnv::default(),
         }
     }
 
@@ -140,14 +130,14 @@ impl<'a> DcAnalysis<'a> {
 
     /// Overrides the Newton iteration options.
     pub fn with_options(mut self, options: NewtonOptions) -> Self {
-        self.options = options;
+        self.env.newton = options;
         self
     }
 
     /// Overrides the convergence-rescue policy
     /// ([`RescuePolicy::none`] restores fail-fast behaviour).
     pub fn with_rescue(mut self, policy: RescuePolicy) -> Self {
-        self.rescue = policy;
+        self.env.rescue = policy;
         self
     }
 
@@ -156,14 +146,14 @@ impl<'a> DcAnalysis<'a> {
     /// aborts with [`SpiceError::BudgetExceeded`] /
     /// [`SpiceError::Cancelled`] once it is exhausted.
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.env.budget = budget;
         self
     }
 
     /// Attaches a telemetry handle: the solve emits Newton-iteration
     /// and rescue-ladder events through it (see `ferrocim_telemetry`).
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.env.telemetry = telemetry;
         self
     }
 
@@ -171,7 +161,7 @@ impl<'a> DcAnalysis<'a> {
     /// not set, a solve leaves its [`Workspace`]'s own configuration in
     /// force — [`SolverConfig::auto`] for a fresh workspace.
     pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.solver = Some(config);
+        self.env.solver = Some(config);
         self
     }
 
@@ -179,7 +169,15 @@ impl<'a> DcAnalysis<'a> {
     /// The default certifies every linear solve; pass
     /// [`HealthPolicy::off`] for the historical uncertified behaviour.
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+        self.env.health = health;
+        self
+    }
+
+    /// Replaces the whole solve environment (budget, telemetry, solver,
+    /// health, Newton options and rescue policy) in one call — how an
+    /// enclosing analysis hands its own environment down.
+    pub fn with_env(mut self, env: SolveEnv) -> Self {
+        self.env = env;
         self
     }
 
@@ -214,8 +212,9 @@ impl<'a> DcAnalysis<'a> {
     ///
     /// Same as [`DcAnalysis::solve`].
     pub fn solve_in(&self, ws: &mut Workspace) -> Result<OperatingPoint, SpiceError> {
-        let _span = self.telemetry.span("spice.dc");
-        if let Some(config) = self.solver {
+        let env = &self.env;
+        let _span = env.telemetry.span("spice.dc");
+        if let Some(config) = env.solver {
             ws.set_solver(config);
         }
         let layout = Layout::of(self.circuit);
@@ -232,14 +231,11 @@ impl<'a> DcAnalysis<'a> {
             CapMode::Open,
             &SolveSettings::NOMINAL,
             &mut x,
-            &self.options,
-            &self.budget,
-            &self.telemetry,
-            &self.health,
+            env,
             ws,
         ) {
             Ok(iterations) => RescueReport::plain(iterations),
-            Err(err) if self.rescue.is_enabled() && is_rescuable(&err) => rescue_solve(
+            Err(err) if env.rescue.is_enabled() && is_rescuable(&err) => rescue_solve(
                 self.circuit,
                 &layout,
                 Second::ZERO,
@@ -247,11 +243,7 @@ impl<'a> DcAnalysis<'a> {
                 CapMode::Open,
                 &mut x,
                 &initial,
-                &self.options,
-                &self.rescue,
-                &self.budget,
-                &self.telemetry,
-                &self.health,
+                env,
                 ws,
                 err,
             )?,

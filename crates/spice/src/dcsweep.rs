@@ -1,12 +1,12 @@
 //! DC sweep analysis: repeated operating points over a swept source
-//! value, with warm starting between points — the workhorse behind
-//! `I_D–V_G` characteristic curves (the paper's Fig. 1).
+//! value, with warm starting between points — for `I_D–V_G`
+//! characteristic curves traced through a full circuit.
 
 use crate::dc::{DcAnalysis, OperatingPoint};
 use crate::mna::NewtonOptions;
 use crate::netlist::{Circuit, Element};
 use crate::solver::SolverConfig;
-use crate::{Budget, SpiceError, Waveform, Workspace};
+use crate::{Budget, SolveEnv, SpiceError, Waveform, Workspace};
 use ferrocim_telemetry::Telemetry;
 use ferrocim_units::{Celsius, Volt};
 
@@ -45,10 +45,9 @@ pub struct DcSweep<'a> {
     source: String,
     values: Vec<Volt>,
     temp: Celsius,
-    options: NewtonOptions,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: Option<SolverConfig>,
+    /// Handed to every point's [`DcAnalysis`]. The sweep has no health
+    /// or rescue setter, so those stay at their defaults.
+    env: SolveEnv,
 }
 
 impl<'a> DcSweep<'a> {
@@ -59,10 +58,7 @@ impl<'a> DcSweep<'a> {
             source: source.into(),
             values,
             temp: Celsius::ROOM,
-            options: NewtonOptions::default(),
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: None,
+            env: SolveEnv::default(),
         }
     }
 
@@ -74,7 +70,7 @@ impl<'a> DcSweep<'a> {
 
     /// Overrides the Newton options.
     pub fn with_options(mut self, options: NewtonOptions) -> Self {
-        self.options = options;
+        self.env.newton = options;
         self
     }
 
@@ -82,7 +78,7 @@ impl<'a> DcSweep<'a> {
     /// point and every Newton iteration counts against the pool, so a
     /// deadline or cancellation aborts mid-sweep with a typed error.
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.env.budget = budget;
         self
     }
 
@@ -90,7 +86,7 @@ impl<'a> DcSweep<'a> {
     /// solve, so a recorder observes the warm-started Newton work of
     /// the whole sweep. The default handle is off.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.env.telemetry = telemetry;
         self
     }
 
@@ -99,7 +95,7 @@ impl<'a> DcSweep<'a> {
     /// its symbolic analysis once at the first point and reuses it for
     /// every later one — the topology never changes across a sweep.
     pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.solver = Some(config);
+        self.env.solver = Some(config);
         self
     }
 
@@ -119,26 +115,21 @@ impl<'a> DcSweep<'a> {
                 })
             }
         }
-        let _span = self.telemetry.span("spice.dcsweep");
+        let _span = self.env.telemetry.span("spice.dcsweep");
         let mut working = self.circuit.clone();
         let mut results = Vec::with_capacity(self.values.len());
-        let mut ws = match self.solver {
-            Some(config) => Workspace::with_solver(config),
-            None => Workspace::new(),
-        };
+        let mut ws = Workspace::new();
         let mut previous: Option<OperatingPoint> = None;
         for &value in &self.values {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.env.budget.check()?;
+            self.env.budget.charge_steps(1)?;
             if let Some(Element::VoltageSource { waveform, .. }) = working.element_mut(&self.source)
             {
                 *waveform = Waveform::dc(value);
             }
             let cold = DcAnalysis::new(&working)
                 .at(self.temp)
-                .with_options(self.options)
-                .with_budget(self.budget.clone())
-                .with_recorder(self.telemetry.clone());
+                .with_env(self.env.clone());
             let op = match &previous {
                 Some(prev) => {
                     match cold.clone().warm_start(prev).solve_in(&mut ws) {

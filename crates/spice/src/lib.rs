@@ -49,6 +49,7 @@ pub mod chaos;
 mod dc;
 mod dcsweep;
 mod engine;
+mod env;
 mod error;
 mod export;
 mod health;
@@ -65,7 +66,8 @@ mod waveform;
 pub use budget::{Budget, BudgetResource, CancelToken, Deadline};
 pub use dc::{DcAnalysis, OperatingPoint};
 pub use dcsweep::DcSweep;
-pub use engine::{SimEngine, Workspace};
+pub use engine::Workspace;
+pub use env::SolveEnv;
 pub use error::SpiceError;
 pub use export::export_netlist;
 pub use health::{certify_solution, HealthPolicy, SolveQuality};

@@ -20,11 +20,10 @@
 //! and non-rescued circuits see bit-identical nominal iteration
 //! sequences.
 
-use crate::health::HealthPolicy;
 use crate::mna::{CapMode, Layout, NewtonOptions, SolveSettings, GMIN};
 use crate::netlist::Circuit;
-use crate::{SpiceError, Workspace};
-use ferrocim_telemetry::{Event, RungKind, Telemetry};
+use crate::{SolveEnv, SpiceError, Workspace};
+use ferrocim_telemetry::{Event, RungKind};
 use ferrocim_units::{Celsius, Second};
 
 /// One rung of the rescue ladder.
@@ -181,12 +180,12 @@ pub(crate) fn is_rescuable(err: &SpiceError) -> bool {
 /// On success the report's last attempt names the winning rung and the
 /// preceding entries record the failed ones (including the plain solve).
 ///
-/// Rescue retries are charged against `budget` like any other Newton
+/// Rescue retries are charged against `env.budget` like any other Newton
 /// work; a budget/cancellation failure aborts the ladder immediately
 /// rather than being mistaken for a failed rung.
 ///
 /// Every rung attempt recorded in the report is mirrored as an
-/// [`Event::RescueAttempt`] through `tele` (including the failed plain
+/// [`Event::RescueAttempt`] through `env.telemetry` (including the failed plain
 /// solve that started the ladder), so an aggregator's attempt counts
 /// match the report's `attempts` exactly.
 #[allow(clippy::too_many_arguments)]
@@ -198,14 +197,16 @@ pub(crate) fn rescue_solve(
     caps: CapMode<'_>,
     x: &mut [f64],
     initial_guess: &[f64],
-    options: &NewtonOptions,
-    policy: &RescuePolicy,
-    budget: &crate::Budget,
-    tele: &Telemetry,
-    health: &HealthPolicy,
+    env: &SolveEnv,
     ws: &mut Workspace,
     plain_error: SpiceError,
 ) -> Result<RescueReport, SpiceError> {
+    let SolveEnv {
+        telemetry: tele,
+        newton: options,
+        rescue: policy,
+        ..
+    } = env;
     let attempt = |a: &RungAttempt| {
         let kind = rung_kind(&a.rung);
         let iterations = a.iterations as u64;
@@ -228,9 +229,12 @@ pub(crate) fn rescue_solve(
     // Rung 2: stronger damping at nominal settings.
     for &max_step in &policy.damping_steps {
         x.copy_from_slice(initial_guess);
-        let damped = NewtonOptions {
-            max_step,
-            ..*options
+        let damped = SolveEnv {
+            newton: NewtonOptions {
+                max_step,
+                ..*options
+            },
+            ..env.clone()
         };
         let rung = RescueRung::Damping { max_step };
         match crate::mna::newton_solve_in(
@@ -242,9 +246,6 @@ pub(crate) fn rescue_solve(
             &SolveSettings::NOMINAL,
             x,
             &damped,
-            budget,
-            tele,
-            health,
             ws,
         ) {
             Ok(iters) => {
@@ -261,7 +262,7 @@ pub(crate) fn rescue_solve(
             Err(_) => {
                 let failed = RungAttempt {
                     rung,
-                    iterations: damped.max_iterations,
+                    iterations: damped.newton.max_iterations,
                     converged: false,
                 };
                 attempt(&failed);
@@ -280,9 +281,8 @@ pub(crate) fn rescue_solve(
                 gmin,
                 source_scale: 1.0,
             };
-            match crate::mna::newton_solve_in(
-                circuit, layout, t, temp, caps, &settings, x, options, budget, tele, health, ws,
-            ) {
+            match crate::mna::newton_solve_in(circuit, layout, t, temp, caps, &settings, x, env, ws)
+            {
                 Ok(iters) => iterations += iters,
                 Err(e) if !is_rescuable(&e) => return Err(e),
                 Err(_) => {
@@ -314,9 +314,8 @@ pub(crate) fn rescue_solve(
                 gmin: GMIN,
                 source_scale: k as f64 / policy.source_steps as f64,
             };
-            match crate::mna::newton_solve_in(
-                circuit, layout, t, temp, caps, &settings, x, options, budget, tele, health, ws,
-            ) {
+            match crate::mna::newton_solve_in(circuit, layout, t, temp, caps, &settings, x, env, ws)
+            {
                 Ok(iters) => iterations += iters,
                 Err(e) if !is_rescuable(&e) => return Err(e),
                 Err(_) => {

@@ -66,10 +66,10 @@ pub enum FillOrdering {
     Natural,
 }
 
-/// Linear-solver selection, threaded through the analysis builders
-/// (`DcAnalysis`/`TransientAnalysis`/`DcSweep`/`SimEngine`) via their
-/// `with_solver` methods and applied to the [`crate::Workspace`] a
-/// solve runs in.
+/// Linear-solver selection, one field of the [`crate::SolveEnv`]: set
+/// through the analysis builders' (`DcAnalysis`/`TransientAnalysis`/
+/// `DcSweep`) `with_solver` methods and applied to the
+/// [`crate::Workspace`] a solve runs in.
 ///
 /// # Examples
 ///

@@ -22,7 +22,7 @@ use crate::mna::{newton_solve_in, CapMode, CapState, Layout, NewtonOptions};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::rescue::{is_rescuable, rescue_solve, RescuePolicy};
 use crate::solver::SolverConfig;
-use crate::{Budget, SpiceError, Workspace};
+use crate::{Budget, SolveEnv, SpiceError, Workspace};
 use ferrocim_telemetry::{Event, Telemetry};
 use ferrocim_units::{Ampere, Celsius, Joule, Second, Volt};
 use std::collections::HashMap;
@@ -296,13 +296,8 @@ pub struct TransientAnalysis<'a> {
     stepping: Stepping,
     t_stop: Second,
     integrator: Integrator,
-    options: NewtonOptions,
     start_from: Option<&'a OperatingPoint>,
-    rescue: RescuePolicy,
-    budget: Budget,
-    telemetry: Telemetry,
-    solver: Option<SolverConfig>,
-    health: HealthPolicy,
+    env: SolveEnv,
 }
 
 impl<'a> TransientAnalysis<'a> {
@@ -319,13 +314,8 @@ impl<'a> TransientAnalysis<'a> {
             stepping: Stepping::Adaptive(AdaptiveOptions::for_duration(t_stop)),
             t_stop,
             integrator: Integrator::default(),
-            options: NewtonOptions::default(),
             start_from: None,
-            rescue: RescuePolicy::default(),
-            budget: Budget::unlimited(),
-            telemetry: Telemetry::off(),
-            solver: None,
-            health: HealthPolicy::default(),
+            env: SolveEnv::default(),
         }
     }
 
@@ -346,7 +336,7 @@ impl<'a> TransientAnalysis<'a> {
     /// not set, a run leaves its [`Workspace`]'s own configuration in
     /// force — [`SolverConfig::auto`] for a fresh workspace.
     pub fn with_solver(mut self, config: SolverConfig) -> Self {
-        self.solver = Some(config);
+        self.env.solver = Some(config);
         self
     }
 
@@ -358,7 +348,7 @@ impl<'a> TransientAnalysis<'a> {
 
     /// Overrides the Newton options.
     pub fn with_options(mut self, options: NewtonOptions) -> Self {
-        self.options = options;
+        self.env.newton = options;
         self
     }
 
@@ -368,11 +358,11 @@ impl<'a> TransientAnalysis<'a> {
         self
     }
 
-    /// Overrides the convergence-rescue policy used when an adaptive
-    /// step diverges at the `dt_min` floor ([`RescuePolicy::none`]
-    /// fails fast instead).
+    /// Overrides the convergence-rescue policy used by the implicit
+    /// `t = 0` DC solve and when an adaptive step diverges at the
+    /// `dt_min` floor ([`RescuePolicy::none`] fails fast instead).
     pub fn with_rescue(mut self, policy: RescuePolicy) -> Self {
-        self.rescue = policy;
+        self.env.rescue = policy;
         self
     }
 
@@ -380,7 +370,7 @@ impl<'a> TransientAnalysis<'a> {
     /// per-step residual certification, bounded iterative refinement,
     /// and the solver degradation ladder. The default policy is on.
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
-        self.health = health;
+        self.env.health = health;
         self
     }
 
@@ -389,7 +379,7 @@ impl<'a> TransientAnalysis<'a> {
     /// the pool, so a deadline or cancellation aborts mid-run with
     /// [`SpiceError::BudgetExceeded`] / [`SpiceError::Cancelled`].
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.env.budget = budget;
         self
     }
 
@@ -398,7 +388,15 @@ impl<'a> TransientAnalysis<'a> {
     /// (see `ferrocim_telemetry::Event`). The default handle is off and
     /// adds no measurable cost.
     pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.env.telemetry = telemetry;
+        self
+    }
+
+    /// Replaces the whole solve environment (budget, telemetry, solver,
+    /// health, Newton options and rescue policy) in one call. The
+    /// implicit `t = 0` DC solve runs under the same environment.
+    pub fn with_env(mut self, env: SolveEnv) -> Self {
+        self.env = env;
         self
     }
 
@@ -433,8 +431,8 @@ impl<'a> TransientAnalysis<'a> {
     ///
     /// Same as [`TransientAnalysis::run`].
     pub fn run_in(&self, ws: &mut Workspace) -> Result<TransientResult, SpiceError> {
-        let _span = self.telemetry.span("spice.transient");
-        if let Some(config) = self.solver {
+        let _span = self.env.telemetry.span("spice.transient");
+        if let Some(config) = self.env.solver {
             ws.set_solver(config);
         }
         match &self.stepping {
@@ -453,10 +451,7 @@ impl<'a> TransientAnalysis<'a> {
             Some(op) => op.clone(),
             None => crate::DcAnalysis::new(self.circuit)
                 .at(self.temp)
-                .with_options(self.options)
-                .with_budget(self.budget.clone())
-                .with_recorder(self.telemetry.clone())
-                .with_health(self.health)
+                .with_env(self.env.clone())
                 .solve_in(ws)?,
         };
         let mut cap_states: HashMap<usize, CapState> = HashMap::new();
@@ -542,8 +537,8 @@ impl<'a> TransientAnalysis<'a> {
 
         let mut t_prev = 0.0;
         for &t_now in &times {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.env.budget.check()?;
+            self.env.budget.charge_steps(1)?;
             let step = t_now - t_prev;
             let caps = CapMode::Companion {
                 dt: step,
@@ -558,13 +553,10 @@ impl<'a> TransientAnalysis<'a> {
                 caps,
                 &crate::mna::SolveSettings::NOMINAL,
                 &mut x,
-                &self.options,
-                &self.budget,
-                &self.telemetry,
-                &self.health,
+                &self.env,
                 ws,
             )?;
-            self.telemetry.emit(|| Event::StepAccepted {
+            self.env.telemetry.emit(|| Event::StepAccepted {
                 time: t_now,
                 dt: step,
             });
@@ -631,8 +623,8 @@ impl<'a> TransientAnalysis<'a> {
         let mut t = 0.0;
 
         while t < t_stop - 1e-18 {
-            self.budget.check()?;
-            self.budget.charge_steps(1)?;
+            self.env.budget.check()?;
+            self.env.budget.charge_steps(1)?;
 
             while bp_idx < bps.len() && bps[bp_idx] <= t + 1e-18 {
                 bp_idx += 1;
@@ -654,10 +646,7 @@ impl<'a> TransientAnalysis<'a> {
                 self.circuit,
                 &layout,
                 self.temp,
-                &self.options,
-                &self.budget,
-                &self.telemetry,
-                &self.health,
+                &self.env,
                 trapezoidal,
                 t,
                 h,
@@ -681,7 +670,7 @@ impl<'a> TransientAnalysis<'a> {
                         std::mem::swap(&mut cap_states, &mut states_half);
                         rec.accumulate_energy(&layout, target, &x, h);
                         rec.record(&layout, target, &x);
-                        self.telemetry.emit(|| Event::StepAccepted {
+                        self.env.telemetry.emit(|| Event::StepAccepted {
                             time: target,
                             dt: h,
                         });
@@ -703,7 +692,8 @@ impl<'a> TransientAnalysis<'a> {
                         }
                         .clamp(dt_min, dt_max);
                     } else {
-                        self.telemetry
+                        self.env
+                            .telemetry
                             .emit(|| Event::StepRejected { time: t, dt: h });
                         report.rejected += 1;
                         dt = (0.5 * h).max(dt_min);
@@ -711,11 +701,12 @@ impl<'a> TransientAnalysis<'a> {
                 }
                 StepTrial::Diverged(err) => {
                     if !at_floor {
-                        self.telemetry
+                        self.env
+                            .telemetry
                             .emit(|| Event::StepRejected { time: t, dt: h });
                         report.rejected += 1;
                         dt = (0.5 * h).max(dt_min);
-                    } else if self.rescue.is_enabled() {
+                    } else if self.env.rescue.is_enabled() {
                         // Last resort at the floor: the full rescue
                         // ladder on the single full-size step.
                         x_full.copy_from_slice(&x);
@@ -732,11 +723,7 @@ impl<'a> TransientAnalysis<'a> {
                             caps,
                             &mut x_full,
                             &x,
-                            &self.options,
-                            &self.rescue,
-                            &self.budget,
-                            &self.telemetry,
-                            &self.health,
+                            &self.env,
                             ws,
                             err,
                         )?;
@@ -751,7 +738,7 @@ impl<'a> TransientAnalysis<'a> {
                         std::mem::swap(&mut x, &mut x_full);
                         rec.accumulate_energy(&layout, target, &x, h);
                         rec.record(&layout, target, &x);
-                        self.telemetry.emit(|| Event::StepAccepted {
+                        self.env.telemetry.emit(|| Event::StepAccepted {
                             time: target,
                             dt: h,
                         });
@@ -790,10 +777,7 @@ fn attempt_step(
     circuit: &Circuit,
     layout: &Layout,
     temp: Celsius,
-    options: &NewtonOptions,
-    budget: &Budget,
-    tele: &Telemetry,
-    health: &HealthPolicy,
+    env: &SolveEnv,
     trapezoidal: bool,
     t: f64,
     h: f64,
@@ -818,10 +802,7 @@ fn attempt_step(
         caps,
         &crate::mna::SolveSettings::NOMINAL,
         x_full,
-        options,
-        budget,
-        tele,
-        health,
+        env,
         ws,
     ) {
         return if is_rescuable(&e) {
@@ -849,10 +830,7 @@ fn attempt_step(
             caps,
             &crate::mna::SolveSettings::NOMINAL,
             x_half,
-            options,
-            budget,
-            tele,
-            health,
+            env,
             ws,
         ) {
             return if is_rescuable(&e) {

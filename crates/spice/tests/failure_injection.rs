@@ -232,6 +232,35 @@ fn rescue_ladder_recovers_what_plain_newton_cannot() {
 }
 
 #[test]
+fn transient_rescue_policy_governs_its_t0_operating_point() {
+    let (ckt, d) = travel_limited_stack();
+    let options = NewtonOptions {
+        max_iterations: 8,
+        ..NewtonOptions::default()
+    };
+    let run = |policy: Option<RescuePolicy>| {
+        let analysis = TransientAnalysis::over(&ckt, Second(1e-9))
+            .with_fixed_step(Second(1e-10))
+            .with_options(options);
+        match policy {
+            Some(policy) => analysis.with_rescue(policy).run(),
+            None => analysis.run(),
+        }
+    };
+    // The implicit t = 0 DC solve runs under the transient's own rescue
+    // policy: disabling the ladder fails fast exactly like a bare
+    // `DcAnalysis` with the same settings.
+    let err = run(Some(RescuePolicy::none())).unwrap_err();
+    assert!(matches!(err, SpiceError::NoConvergence { .. }), "{err}");
+    // The default ladder rescues the starting point, and every step
+    // from there converges within the iteration cap.
+    let result = run(None).expect("ladder rescues the t = 0 solve");
+    assert_eq!(result.step_report().accepted, 10);
+    let reference = DcAnalysis::new(&ckt).solve().expect("500 iterations");
+    assert!((result.final_voltage(d).value() - reference.voltage(d).value()).abs() < 1e-6);
+}
+
+#[test]
 fn overflow_reports_numerical_blowup() {
     // An (absurd but finite) source current overflows the solved node
     // voltage to infinity — the solver must name the iteration and

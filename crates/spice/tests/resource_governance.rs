@@ -5,8 +5,7 @@
 
 use ferrocim_spice::{
     AdaptiveOptions, Budget, BudgetResource, CancelToken, Circuit, DcAnalysis, DcSweep, Deadline,
-    Element, Integrator, McError, MonteCarlo, NewtonOptions, NodeId, SimEngine, SpiceError,
-    TransientAnalysis,
+    Element, Integrator, McError, MonteCarlo, NewtonOptions, NodeId, SpiceError, TransientAnalysis,
 };
 use ferrocim_units::{Celsius, Farad, Ohm, Second, Volt};
 use proptest::prelude::*;
@@ -244,28 +243,6 @@ fn cancel_token_aborts_a_dc_sweep() {
         .solve()
         .unwrap_err();
     assert!(matches!(err, SpiceError::Cancelled), "{err}");
-}
-
-#[test]
-fn sim_engine_threads_its_budget_into_every_analysis() {
-    let (ckt, _) = rc_circuit(1e5, 1e-13, 1.0);
-    let token = CancelToken::new();
-    token.cancel();
-    let mut engine = SimEngine::new().with_budget(Budget::unlimited().with_cancel_token(&token));
-    let err = engine.dc(&ckt).unwrap_err();
-    assert!(matches!(err, SpiceError::Cancelled), "dc: {err}");
-    let err = engine
-        .transient(&ckt, Second(1e-10), Second(1e-8))
-        .unwrap_err();
-    assert!(matches!(err, SpiceError::Cancelled), "transient: {err}");
-    let err = engine
-        .transient_adaptive(
-            &ckt,
-            Second(1e-8),
-            AdaptiveOptions::for_duration(Second(1e-8)),
-        )
-        .unwrap_err();
-    assert!(matches!(err, SpiceError::Cancelled), "adaptive: {err}");
 }
 
 #[test]

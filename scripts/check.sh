@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: formatting, lints, then the tier-1 build+test
-# sweep from ROADMAP.md. Run from anywhere inside the repo.
+# Full pre-merge gate: formatting, lints, the tier-1 build+test sweep
+# from ROADMAP.md, the benchmark package's tests, and the
+# failure-injection suite. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps \
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --offline
 cargo test -q --offline
+
+echo "==> benchmark package (its own workspace, so tier-1 does not build it)"
+cargo test --release --offline -q --manifest-path cimbench/Cargo.toml
 
 echo "==> failure-injection suite (full backtraces)"
 RUST_BACKTRACE=1 cargo test -q --offline -p ferrocim-spice --test failure_injection
