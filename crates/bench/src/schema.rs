@@ -216,6 +216,15 @@ pub struct SparseWidthPoint {
     /// Max-norm node-voltage disagreement between the backends, where
     /// both ran.
     pub max_delta_v: Option<f64>,
+    /// Steady-state dense-backend wall clock per Newton iteration of
+    /// the transient MAC readout in microseconds (median of the
+    /// interleaved reps); `None` above the transient-timed widths.
+    pub dense_iter_us: Option<f64>,
+    /// The same for the sparse backend.
+    pub sparse_iter_us: Option<f64>,
+    /// Same-run sparse/dense per-iteration ratio (`< 1` = sparse
+    /// faster), where the transient was timed.
+    pub iter_ratio: Option<f64>,
 }
 
 /// The VGG-scale single-row transient of `results/probe_sparse.json`.
@@ -244,6 +253,16 @@ pub struct SparseProbe {
     pub parity_bound: f64,
     /// Whether every measured `max_delta_v` stayed within the bound.
     pub parity_ok: bool,
+    /// Unknowns of the narrowest transient-timed width from which the
+    /// sparse backend wins per Newton iteration (ratio ≤ 0.9) at every
+    /// wider timed width; `None` when it does not win at the widest.
+    pub crossover_unknowns: Option<usize>,
+    /// The `SolverConfig::AUTO_SPARSE_THRESHOLD` the probe ran with.
+    pub auto_sparse_threshold: usize,
+    /// Bound on `iter_ratio` at the paper's 8-cell row.
+    pub iter_ratio_bound: f64,
+    /// Whether the 8-cell `iter_ratio` stayed within the bound.
+    pub iter_ratio_ok: bool,
     /// The end-to-end wide-row transient demonstration.
     pub large_row: LargeRowMac,
 }

@@ -335,9 +335,10 @@ impl<C: CellDesign> CimArray<C> {
     /// Selects the linear-solver backend (see
     /// [`ferrocim_spice::SolverConfig`]) for every workspace this array
     /// allocates. The default is [`SolverConfig::auto`], which keeps
-    /// the paper's 8-cell rows on the dense path and switches wide rows
-    /// (hundreds of cells, VGG-scale layers) to the sparse KLU-style
-    /// backend. Batch layers built on this array inherit the choice.
+    /// single-cell circuits (the analytic path's per-cell transients)
+    /// on the dense path and runs rows from four cells up — the paper's
+    /// 8-cell row included — on the sparse KLU-style backend. Batch
+    /// layers built on this array inherit the choice.
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
         self.env.solver = Some(solver);
         self

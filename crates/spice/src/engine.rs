@@ -219,9 +219,9 @@ impl Workspace {
 mod tests {
     use super::*;
     use crate::netlist::{Circuit, Element, NodeId};
-    use crate::DcAnalysis;
+    use crate::{DcAnalysis, TransientAnalysis, Waveform};
     use ferrocim_device::{MosfetModel, MosfetParams};
-    use ferrocim_units::{Ohm, Volt};
+    use ferrocim_units::{Farad, Ohm, Second, Volt};
 
     fn transistor_divider() -> Circuit {
         let mut ckt = Circuit::new();
@@ -321,6 +321,86 @@ mod tests {
         // …but a genuinely different config resets it.
         ws.set_solver(SolverConfig::sparse().with_parallel_blocks(true));
         assert_eq!(ws.degrade_level(), 0);
+    }
+
+    /// A transistor stage driven by a gate step, with one capacitor
+    /// between two non-ground nodes (open in DC, a companion conductance
+    /// in a transient) and one to ground.
+    fn coupled_stage() -> Circuit {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let g = ckt.node("g");
+        let d = ckt.node("d");
+        let out = ckt.node("out");
+        ckt.add(Element::vdc("VDD", vdd, NodeId::GROUND, Volt(1.2)))
+            .unwrap();
+        ckt.add(Element::vsource(
+            "VG",
+            g,
+            NodeId::GROUND,
+            Waveform::step(Volt(0.3), Volt(0.5), Second(2e-10)),
+        ))
+        .unwrap();
+        ckt.add(Element::resistor("RD", vdd, d, Ohm(1e6))).unwrap();
+        ckt.add(Element::mosfet(
+            "M1",
+            d,
+            g,
+            NodeId::GROUND,
+            MosfetModel::new(MosfetParams::nmos_14nm().with_wl_ratio(4.0)),
+        ))
+        .unwrap();
+        for (name, a, b, c) in [("CC", d, out, 2e-15), ("CL", out, NodeId::GROUND, 1e-15)] {
+            ckt.add(Element::Capacitor {
+                name: name.into(),
+                a,
+                b,
+                capacitance: Farad(c),
+                initial: None,
+            })
+            .unwrap();
+        }
+        ckt.add(Element::resistor("RL", out, NodeId::GROUND, Ohm(5e5)))
+            .unwrap();
+        ckt
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn alternating_dc_and_transient_solves_match_fresh_workspaces_bitwise() {
+        let ckt = coupled_stage();
+        let out = ckt.find_node("out").unwrap();
+        let dc = || DcAnalysis::new(&ckt).with_solver(SolverConfig::sparse());
+        let tran = || {
+            TransientAnalysis::over(&ckt, Second(2e-9))
+                .with_fixed_step(Second(2e-11))
+                .with_solver(SolverConfig::sparse())
+        };
+        let trace_bits = |res: &crate::TransientResult| -> Vec<u64> {
+            res.trace(out)
+                .iter()
+                .map(|(_, v)| v.value().to_bits())
+                .collect()
+        };
+        let mut shared = Workspace::new();
+        for round in 0..2 {
+            let op = dc().solve_in(&mut shared).unwrap();
+            let fresh_op = dc().solve_in(&mut Workspace::new()).unwrap();
+            assert_eq!(bits(&op.raw), bits(&fresh_op.raw), "round {round}: DC");
+            let res = tran().run_in(&mut shared).unwrap();
+            let fresh = tran().run_in(&mut Workspace::new()).unwrap();
+            assert_eq!(trace_bits(&res), trace_bits(&fresh), "round {round}");
+            assert_eq!(
+                res.total_energy_delivered().value().to_bits(),
+                fresh.total_energy_delivered().value().to_bits()
+            );
+        }
+        // The DC assemblies reserve the coupling capacitor's entries, so
+        // one symbolic analysis served every DC and transient solve.
+        assert_eq!(shared.sparse_factor_counts().map(|c| c.0), Some(1));
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub struct SolveQuality {
 /// The default policy is **on**: every Newton linear solve is checked,
 /// refined up to twice when it misses tolerance, and escalated down the
 /// solver degradation ladder when refinement cannot rescue it. The
-/// check itself is one sparse matvec per solve — `probe_health` pins
-/// the overhead below 5% on the 256-cell row workload.
+/// check itself is one sparse matvec per solve — `probe_health` bounds
+/// the overhead at 8% on the 256-cell row workload.
 ///
 /// # Examples
 ///

@@ -1,11 +1,12 @@
 //! Dense linear algebra for the MNA system.
 //!
 //! This is the dense backend behind [`crate::LinearSystem`]: an LU
-//! factorization with partial pivoting that wins below roughly
-//! [`crate::SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns (an 8-cell
-//! CIM row is ≈ 30), where its tight loops beat the sparse machinery's
-//! bookkeeping. Larger systems — wide CIM rows, whole arrays — go to
-//! the KLU-style [`crate::SparseLu`], which this O(n³) kernel cannot
+//! factorization with partial pivoting that wins below
+//! [`crate::SolverConfig::AUTO_SPARSE_THRESHOLD`] (21) unknowns — a
+//! single cell (9) or a two-cell row (13) — where its tight loops beat
+//! the sparse machinery's bookkeeping. Larger systems — the paper's
+//! 8-cell CIM row (37 unknowns), wide rows, whole arrays — go to the
+//! KLU-style [`crate::SparseLu`], which this O(n³) kernel cannot
 //! touch. Both `solve_destructive` and `solve_into` share the single
 //! factorization core in [`Matrix::solve_into`].
 

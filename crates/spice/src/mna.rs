@@ -7,7 +7,6 @@ use crate::solver::LinearSystem;
 use crate::{SolveEnv, SpiceError};
 use ferrocim_telemetry::Event;
 use ferrocim_units::{Celsius, Second};
-use std::collections::HashMap;
 
 /// Tiny conductance from every node to ground, preventing singular
 /// systems from floating nodes (e.g. capacitor-only nodes in DC).
@@ -65,8 +64,10 @@ impl Default for NewtonOptions {
 pub(crate) struct Layout {
     /// Number of non-ground nodes.
     pub n_nodes: usize,
-    /// Element-vector index → branch-current row for voltage sources.
-    pub branch_of_element: HashMap<usize, usize>,
+    /// Element-vector index → branch-current row for voltage sources
+    /// (`usize::MAX`, an index no unknown vector has, for every other
+    /// element).
+    pub branch_of_element: Vec<usize>,
     /// Total unknown count.
     pub size: usize,
 }
@@ -74,14 +75,18 @@ pub(crate) struct Layout {
 impl Layout {
     pub fn of(circuit: &Circuit) -> Layout {
         let n_nodes = circuit.node_count() - 1;
-        let mut branch_of_element = HashMap::new();
         let mut next = n_nodes;
-        for (idx, e) in circuit.elements().iter().enumerate() {
-            if matches!(e, Element::VoltageSource { .. }) {
-                branch_of_element.insert(idx, next);
-                next += 1;
-            }
-        }
+        let branch_of_element = circuit
+            .elements()
+            .iter()
+            .map(|e| match e {
+                Element::VoltageSource { .. } => {
+                    next += 1;
+                    next - 1
+                }
+                _ => usize::MAX,
+            })
+            .collect();
         Layout {
             n_nodes,
             branch_of_element,
@@ -109,8 +114,9 @@ impl Layout {
     }
 }
 
-/// Per-capacitor companion state carried across transient steps.
-#[derive(Debug, Clone, Copy)]
+/// Per-capacitor companion state carried across transient steps, held
+/// in an element-indexed `Vec` (entries of other elements stay zero).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CapState {
     /// Branch voltage `v(a) − v(b)` at the previous accepted step.
     pub v_prev: f64,
@@ -127,7 +133,7 @@ pub(crate) enum CapMode<'a> {
     /// given integration method.
     Companion {
         dt: f64,
-        states: &'a HashMap<usize, CapState>,
+        states: &'a [CapState],
         trapezoidal: bool,
     },
 }
@@ -193,16 +199,20 @@ pub(crate) fn assemble(
                 capacitance,
                 ..
             } => match caps {
-                CapMode::Open => {}
+                // Open in DC, but stamped as a zero conductance: the
+                // sparse pattern (and stamp plan) then match the
+                // transient assemblies, so a workspace alternating DC
+                // and transient solves keeps one symbolic analysis and
+                // solves exactly as a fresh one would. The dense matrix
+                // is unchanged bitwise: adding ±0 changes no value, only
+                // the sign of a −0 diagonal, which GMIN then overwrites.
+                CapMode::Open => stamp_conductance(a, *na, *nb, 0.0),
                 CapMode::Companion {
                     dt,
                     states,
                     trapezoidal,
                 } => {
-                    let state = states.get(&idx).copied().unwrap_or(CapState {
-                        v_prev: 0.0,
-                        i_prev: 0.0,
-                    });
+                    let state = states[idx];
                     let c = capacitance.value();
                     // Companion: i = g·v − i_eq, with
                     //   BE:   g = C/dt,   i_eq = g·v_prev
@@ -226,7 +236,7 @@ pub(crate) fn assemble(
             Element::VoltageSource {
                 pos, neg, waveform, ..
             } => {
-                let row = layout.branch_of_element[&idx];
+                let row = layout.branch_of_element[idx];
                 if let Some(rp) = layout.row_of(*pos) {
                     a.add(rp, row, 1.0);
                     a.add(row, rp, 1.0);

@@ -6,7 +6,7 @@
 //!
 //! * [`DenseLu`] — the original dense LU with partial pivoting
 //!   ([`crate::Matrix`]), still the fastest option for the
-//!   tens-of-unknowns circuits of a single cell or a short row.
+//!   few-unknown circuits of a single cell or a two-cell row.
 //! * [`SparseLu`] — a KLU-style sparse LU (Gilbert–Peierls
 //!   left-looking factorization). The expensive *symbolic* work — a
 //!   fill-reducing column ordering plus the pivot sequence and the
@@ -31,14 +31,13 @@
 //! [`SolverConfig`] selects the backend. The default
 //! [`SolverKind::Auto`] picks dense below
 //! [`SolverConfig::AUTO_SPARSE_THRESHOLD`] unknowns and sparse at or
-//! above it, which is where the O(n³) dense factorization starts losing
-//! to the near-linear sparse path on MNA matrices (a handful of
-//! nonzeros per row).
+//! above it, which is where a Newton iteration of the sparse path
+//! (replayed stamp plan, numeric-only refactorization) starts beating
+//! the O(n³) dense one on MNA matrices (a handful of nonzeros per row).
 
 use crate::linear::Matrix;
 use crate::SpiceError;
 use ferrocim_telemetry::{SolverBackend, Telemetry};
-use std::collections::HashMap;
 
 /// Which linear-solver backend an analysis should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,9 +78,10 @@ pub enum FillOrdering {
 /// let cfg = SolverConfig::sparse().with_ordering(FillOrdering::MinDegree);
 /// assert_eq!(cfg.kind, SolverKind::Sparse);
 /// assert!(!cfg.parallel_blocks);
-/// // Auto picks by size.
-/// assert!(!SolverConfig::auto().wants_sparse(30));
-/// assert!(SolverConfig::auto().wants_sparse(500));
+/// // Auto picks by size: a single cell stays dense, the paper's
+/// // 8-cell row (37 unknowns) goes sparse.
+/// assert!(!SolverConfig::auto().wants_sparse(9));
+/// assert!(SolverConfig::auto().wants_sparse(37));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverConfig {
@@ -97,10 +97,12 @@ pub struct SolverConfig {
 
 impl SolverConfig {
     /// System size (unknowns) at which [`SolverKind::Auto`] switches
-    /// from dense to sparse. Calibrated with `probe_sparse`: on MNA
-    /// matrices the sparse path wins from roughly a 32-cell row
-    /// (~100 unknowns) upward.
-    pub const AUTO_SPARSE_THRESHOLD: usize = 100;
+    /// from dense to sparse. Calibrated with `probe_sparse` on the
+    /// steady-state transient MAC readout: per Newton iteration the
+    /// sparse path is ≥10% faster from a 4-cell row (21 unknowns)
+    /// upward (0.5–0.65× dense at the paper's 8-cell row, 37
+    /// unknowns), ties at 2 cells (13) and loses on a single cell (9).
+    pub const AUTO_SPARSE_THRESHOLD: usize = 21;
 
     /// Size-based automatic selection (the default).
     pub fn auto() -> SolverConfig {
@@ -386,11 +388,27 @@ struct ColumnValues {
     lx: Vec<f64>,
 }
 
+/// One step of the stamp plan: the coordinates an [`SparseLu::add`]
+/// stamped and the slot they resolved to.
+#[derive(Debug, Clone, Copy)]
+struct PlannedStamp {
+    row: u32,
+    col: u32,
+    slot: u32,
+}
+
 /// The sparse KLU-style LU backend.
 ///
 /// Stamps are captured into a slot table on the first assembly; the
 /// pattern seals at the first solve, after which [`SparseLu::clear`] /
-/// [`SparseLu::add`] only touch values. The first solve runs the fused
+/// [`SparseLu::add`] only touch values. Slot lookup is bound once, the
+/// way SPICE3 binds matrix-element pointers at setup: each assembly
+/// records the slot of every `add` in call order (the *stamp plan*),
+/// and the next assembly replays it, confirming each stamp's
+/// coordinates with one compare. A stamp that departs from the plan
+/// (the same entries stamped in another order, or an element stamped
+/// only in some analyses) resolves its slot by a scan of its row's
+/// entries and re-records the plan from there. The first solve runs the fused
 /// symbolic + numeric Gilbert–Peierls factorization (fill-reducing
 /// ordering, DFS reach, threshold pivoting); every later solve
 /// refactors numerically along the stored pattern — no ordering, no
@@ -403,10 +421,15 @@ pub struct SparseLu {
     ordering: FillOrdering,
     parallel: bool,
     // --- stamp capture ---
-    slot_of: HashMap<(u32, u32), u32>,
+    /// Each row's slots, for resolving a stamp the plan does not cover.
+    row_slots: Vec<Vec<u32>>,
     coords: Vec<(u32, u32)>,
     values: Vec<f64>,
     sealed: bool,
+    /// The stamp plan: the slot each `add` resolved to, in call order.
+    plan: Vec<PlannedStamp>,
+    /// Replay position in `plan`; reset by every `clear`.
+    cursor: usize,
     // --- CSC mirror of the stamped pattern (built at seal) ---
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
@@ -432,6 +455,7 @@ impl SparseLu {
     pub fn with_dim(n: usize) -> SparseLu {
         SparseLu {
             n,
+            row_slots: vec![Vec::new(); n],
             work: vec![0.0; n],
             ..SparseLu::default()
         }
@@ -468,11 +492,54 @@ impl SparseLu {
         self.coords.len()
     }
 
+    /// Drops the stamp plan, so the next assembly resolves every stamp
+    /// by lookup — the reference path the plan must reproduce bitwise.
+    #[cfg(test)]
+    fn forget_plan(&mut self) {
+        self.plan.clear();
+    }
+
     /// Discards the symbolic analysis, forcing the next solve to re-run
     /// the fused symbolic + numeric factorization (fresh ordering, DFS,
     /// and pivot search). The first rung of the degradation ladder.
     pub(crate) fn invalidate_symbolic(&mut self) {
         self.sym = None;
+    }
+
+    /// Stamps `value` at a position the plan does not cover: resolves
+    /// the slot by scanning the row's entries (growing the pattern for a
+    /// new coordinate) and re-records the plan from this call on.
+    #[inline(never)]
+    fn add_unplanned(&mut self, row: u32, col: u32, value: f64) {
+        self.plan.truncate(self.cursor);
+        let coords = &self.coords;
+        let found = self.row_slots[row as usize]
+            .iter()
+            .copied()
+            .find(|&s| coords[s as usize].1 == col);
+        let slot = match found {
+            Some(slot) => {
+                self.values[slot as usize] += value;
+                slot
+            }
+            None => {
+                if self.sealed {
+                    // A stamp at a new position means the topology
+                    // changed: the pattern grows (never shrinks — stale
+                    // entries stay as structural zeros) and the symbolic
+                    // analysis is invalidated.
+                    self.sealed = false;
+                    self.sym = None;
+                }
+                let slot = self.coords.len() as u32;
+                self.row_slots[row as usize].push(slot);
+                self.coords.push((row, col));
+                self.values.push(value);
+                slot
+            }
+        };
+        self.plan.push(PlannedStamp { row, col, slot });
+        self.cursor += 1;
     }
 
     /// Sorts the captured stamp slots into compressed-sparse-column
@@ -941,27 +1008,18 @@ impl LinearSystem for SparseLu {
 
     fn clear(&mut self) {
         self.values.fill(0.0);
+        self.cursor = 0;
     }
 
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: f64) {
-        let key = (row as u32, col as u32);
-        match self.slot_of.get(&key) {
-            Some(&slot) => self.values[slot as usize] += value,
-            None => {
-                if self.sealed {
-                    // A stamp at a new position means the topology
-                    // changed: the pattern grows (never shrinks — stale
-                    // entries stay as structural zeros) and the symbolic
-                    // analysis is invalidated.
-                    self.sealed = false;
-                    self.sym = None;
-                }
-                let slot = self.coords.len() as u32;
-                self.slot_of.insert(key, slot);
-                self.coords.push(key);
-                self.values.push(value);
+        let (row, col) = (row as u32, col as u32);
+        match self.plan.get(self.cursor) {
+            Some(p) if p.row == row && p.col == col => {
+                self.values[p.slot as usize] += value;
+                self.cursor += 1;
             }
+            _ => self.add_unplanned(row, col, value),
         }
     }
 
@@ -1625,6 +1683,122 @@ mod tests {
         assert_eq!(out, vec![0.0, 0.0]);
         s.solve_transposed_into(&[1.0, 2.0], &mut out);
         assert_eq!(out, vec![0.0, 0.0]);
+    }
+
+    /// An MNA-shaped stamp sequence: conductances with repeated
+    /// coordinates (several stamps land on one diagonal) plus a
+    /// voltage-source branch row with a structurally zero diagonal.
+    fn stamp_sequence(scale: f64) -> Vec<(usize, usize, f64)> {
+        vec![
+            (0, 0, 2.0 * scale),
+            (0, 1, -scale),
+            (1, 1, 1.5 * scale),
+            (1, 0, -scale),
+            (1, 1, 0.75 * scale),
+            (1, 2, -0.5 * scale),
+            (2, 1, -0.5 * scale),
+            (2, 2, 0.5 * scale + 1e-3),
+            (0, 3, 1.0),
+            (3, 0, 1.0),
+            (0, 0, 1e-12),
+            (1, 1, 1e-12),
+            (2, 2, 1e-12),
+        ]
+    }
+
+    fn stamp(s: &mut SparseLu, seq: &[(usize, usize, f64)]) {
+        s.clear();
+        for &(r, c, v) in seq {
+            s.add(r, c, v);
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn stamp_plan_replays_bitwise_like_a_lookup_assembly() {
+        let b = [1.0, -0.5, 0.25, 0.8];
+        let mut planned = SparseLu::with_dim(4);
+        let mut lookup = SparseLu::with_dim(4);
+        for round in 1..=6 {
+            let seq = stamp_sequence(1.0 + 0.37 * round as f64);
+            stamp(&mut planned, &seq);
+            lookup.forget_plan();
+            stamp(&mut lookup, &seq);
+            // The stamped values equal a fresh table's, slot by slot.
+            let mut fresh = SparseLu::with_dim(4);
+            stamp(&mut fresh, &seq);
+            assert_eq!(planned.coords, fresh.coords, "round {round}");
+            assert_eq!(bits(&planned.values), bits(&fresh.values), "round {round}");
+            // From the second round on the whole assembly is a replay.
+            assert_eq!(planned.plan.len(), seq.len());
+            assert_eq!(planned.cursor, seq.len());
+            let (mut xp, mut xl, mut xf) = (Vec::new(), Vec::new(), Vec::new());
+            planned.solve_into(&b, &mut xp, &tele()).unwrap();
+            lookup.solve_into(&b, &mut xl, &tele()).unwrap();
+            fresh.solve_into(&b, &mut xf, &tele()).unwrap();
+            assert_eq!(bits(&xp), bits(&xl), "round {round}: replay vs lookup");
+            if round == 1 {
+                assert_eq!(bits(&xp), bits(&xf), "first solve vs a fresh one");
+            }
+            assert!(max_dv(&xp, &xf) < 1e-12, "round {round}: {xp:?} vs {xf:?}");
+        }
+        assert_eq!(planned.symbolic_analyses(), 1);
+    }
+
+    #[test]
+    fn a_new_coordinate_after_sealing_still_reanalyzes() {
+        let b = [1.0, 2.0, 3.0, 4.0];
+        let mut s = SparseLu::with_dim(4);
+        let mut x = Vec::new();
+        for _ in 0..2 {
+            stamp(&mut s, &stamp_sequence(1.0));
+            s.solve_into(&b, &mut x, &tele()).unwrap();
+        }
+        assert_eq!(s.symbolic_analyses(), 1);
+        // A coupling at a new position, mid-sequence: the plan misses,
+        // the pattern grows, and the symbolic analysis re-runs.
+        let mut grown = stamp_sequence(1.0);
+        grown.insert(4, (0, 2, -0.25));
+        for round in 0..2 {
+            stamp(&mut s, &grown);
+            let info = s.solve_into(&b, &mut x, &tele()).unwrap();
+            assert_eq!(info.symbolic, round == 0);
+            assert_eq!(s.symbolic_analyses(), 2);
+            let mut d = DenseLu::with_dim(4);
+            for &(r, c, v) in &grown {
+                d.add(r, c, v);
+            }
+            let mut xd = Vec::new();
+            d.solve_into(&b, &mut xd, &tele()).unwrap();
+            assert!(max_dv(&x, &xd) < 1e-12, "{x:?} vs {xd:?}");
+        }
+    }
+
+    #[test]
+    fn reordered_stamps_still_solve_correctly() {
+        let b = [0.5, -1.0, 2.0, 1.0];
+        let forward = stamp_sequence(1.3);
+        let mut reversed = forward.clone();
+        reversed.reverse();
+        let mut s = SparseLu::with_dim(4);
+        let mut x = Vec::new();
+        for seq in [&forward, &reversed, &forward, &reversed] {
+            stamp(&mut s, seq);
+            s.solve_into(&b, &mut x, &tele()).unwrap();
+            let mut d = DenseLu::with_dim(4);
+            for &(r, c, v) in seq.iter() {
+                d.add(r, c, v);
+            }
+            let mut xd = Vec::new();
+            d.solve_into(&b, &mut xd, &tele()).unwrap();
+            assert!(max_dv(&x, &xd) < 1e-12, "{x:?} vs {xd:?}");
+        }
+        // Same coordinates in another order: no topology change.
+        assert_eq!(s.symbolic_analyses(), 1);
+        assert_eq!(s.pattern_nnz(), 9);
     }
 
     #[test]
